@@ -59,27 +59,10 @@ def latency_summary(values: Sequence[float]) -> Dict[str, object]:
     }
 
 
-def windowed_rate(latencies: Sequence[float], changes: int, windows: int = 100) -> float:
-    """Changes per second of update time, as the median over consecutive windows.
-
-    ``latencies`` are the per-update times in seconds, ``changes`` the
-    changes those updates applied in total.  The updates are cut into
-    ``windows`` equal runs (the last takes the remainder); each window's
-    rate is its share of the changes over its summed time.  The median keeps
-    a short burst of machine speed-up or slow-down from moving the figure.
-    """
-    n = len(latencies)
-    if n == 0 or changes <= 0:
-        return 0.0
-    per_update = changes / n
-    size = max(1, n // windows)
-    rates = []
-    for start in range(0, n - size + 1, size):
-        chunk = latencies[start : start + size] if start + 2 * size <= n else latencies[start:]
-        busy = sum(chunk)
-        if busy > 0:
-            rates.append(len(chunk) * per_update / busy)
-    return median(rates)
+def rate(latencies_s: Sequence[float], changes: int) -> float:
+    """Changes per second of update time (0.0 without updates)."""
+    busy = sum(latencies_s)
+    return changes / busy if busy > 0 else 0.0
 
 
 def error_rate(attempted: int, failed: int) -> float:

@@ -1,18 +1,21 @@
-"""One benchmark job in a fresh process: ``python3 perfbench/job.py ...``.
+"""One benchmark job process: ``python3 perfbench/job.py ...``.
 
-``run.py`` starts this once per job (churn-lifecycle-5k: once per
-repetition; trace runs: once untraced, once traced) with the working
-directory set to the run's own temp dir, and reads back the JSON result it
-writes to ``--out``.  A fresh process per job keeps the process-wide graph
-memo of ``GraphSpec.build`` cold for every set-up and gives every job its own
-peak RSS.
+``run.py`` starts this with the working directory set to the job's own temp
+dir and reads back the JSON result it writes to ``--out``.  A session job
+(churn-lifecycle-5k, the window workloads) takes two processes: the first
+sets up, streams and writes a checkpoint file; the second (``--resume``)
+loads that file, resumes, streams the rest and verifies.  A fresh process
+keeps the process-wide graph memo of ``GraphSpec.build`` cold for every
+set-up and every resume, and gives every process its own peak RSS.  The
+service-fleet job is one process driving a daemon it starts.
 
 Every job drives the library through its public API only
 (``ScenarioSpec``/``Session``, ``checkpoint_io``, ``ServiceClient`` against a
 ``repro-mis serve`` daemon), checks its outputs, and records raw samples:
 set-up, job, checkpoint and resume times, per-update latencies and the
-streamed change count.  With ``--trace 1`` it also records spans around the
-calls into each layer and returns the per-layer metrics derived from them.
+streamed change count, each as CPU time and as wall time.  With
+``--trace 1`` it also records spans around the calls into each layer and
+returns the per-layer metrics derived from them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import time
 from array import array
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.dynamic_mis import DynamicMIS
 from repro.scenario import (
@@ -46,27 +49,31 @@ from repro.workloads.sequences import replay_on_graph
 from repro.workloads.trace import encode_node
 
 import layers
+from clocks import CpuClock, RefClock, process_tree
 from spans import Tracer, instrument
 
-clock = time.perf_counter
-
-#: The window workloads run this many whole rounds (each on its own inputs),
-#: so every time they report is a median of samples spread over the run.
-ROUNDS = 5
-#: Checkpoints per session job (the first belongs to the job, the rest only
+#: Checkpoints per session (the first belongs to the job, the rest only
 #: add samples).
 CHECKPOINTS = 2
-#: Changes per churn-lifecycle-5k repetition: materializing them is about
-#: half of set-up (the graph build is the rest) and most of resume, and five
-#: repetitions fit in a run.
+#: Changes per churn-lifecycle-5k session: materializing them is about half
+#: of set-up (the graph build is the rest) and most of resume.
 LIFECYCLE_CHANGES = 50
+#: Nodes (= window size) of the window workloads.
+SEQ_NODES = 20000
+PROTOCOL_NODES = 5000
+FLEET_NODES = 5000
+#: Churn changes per second of ``--seconds``, after the window has filled:
+#: per session for the in-process window workloads, per fleet session.
+SEQ_CHURN = 3000
+PROTOCOL_CHURN = 1500
+FLEET_CHURN = 1000
 FLEET_SESSIONS = 8
 FLEET_BATCH = 64
 FLEET_SHARDS = 2
 #: Set-ups (daemon start plus every create) of the fleet, and the number of
 #: checkpoint + evict/rehydrate cycles spread over its stream.
 FLEET_SETUPS = 3
-FLEET_SPOOL_CYCLES = 16
+FLEET_SPOOL_CYCLES = 32
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +83,7 @@ def _rng(workload: str, seed: int, rep: int) -> random.Random:
     return random.Random(f"{workload}:{seed}:{rep}")
 
 
-def lifecycle_spec(seed: int, rep: int) -> ScenarioSpec:
+def lifecycle_spec(seed: int, seconds: int, rep: int) -> ScenarioSpec:
     """``--seed`` draws the graph and the priority order; the churn stream's
     own seed depends on the repetition only.
 
@@ -107,8 +114,9 @@ def lifecycle_spec(seed: int, rep: int) -> ScenarioSpec:
 
 
 def window_spec(
-    name: str, seed: int, nodes: int, changes: int, runner: str, batch_size: int = 0
+    name: str, seed: int, nodes: int, churn: int, runner: str, batch_size: int = 0
 ) -> ScenarioSpec:
+    """A sliding window over ``nodes`` nodes: ``nodes`` fill changes, then ``churn``."""
     rng = _rng(name, seed, 0)
     return ScenarioSpec(
         name=name,
@@ -116,7 +124,7 @@ def window_spec(
         graph=None,
         workload=WorkloadSpec(
             kind="sliding_window",
-            num_changes=changes,
+            num_changes=nodes + churn,
             seed=rng.randrange(2**31),
             params={"num_nodes": nodes, "window_size": nodes},
         ),
@@ -125,44 +133,78 @@ def window_spec(
     )
 
 
-def seq_spec(seed: int, seconds: int, round_: int) -> ScenarioSpec:
+def seq_spec(seed: int, seconds: int, rep: int) -> ScenarioSpec:
     return window_spec(
-        f"window-stream-seq-{round_}", seed, 20000, 1500 * seconds, "sequential"
+        f"window-stream-seq-{rep}", seed, SEQ_NODES, SEQ_CHURN * seconds, "sequential"
     )
 
 
-def protocol_spec(seed: int, seconds: int, round_: int) -> ScenarioSpec:
+def protocol_spec(seed: int, seconds: int, rep: int) -> ScenarioSpec:
     return window_spec(
-        f"window-stream-protocol-{round_}", seed, 5000, 1000 * seconds, "protocol"
+        f"window-stream-protocol-{rep}", seed, PROTOCOL_NODES, PROTOCOL_CHURN * seconds,
+        "protocol",
     )
 
 
 def fleet_specs(seed: int, seconds: int) -> List[ScenarioSpec]:
     return [
         window_spec(
-            f"fleet-{index}", seed, 5000, 1500 * seconds, "sequential", batch_size=FLEET_BATCH
+            f"fleet-{index}", seed, FLEET_NODES, FLEET_CHURN * seconds, "sequential",
+            batch_size=FLEET_BATCH,
         )
         for index in range(FLEET_SESSIONS)
     ]
 
 
 # ----------------------------------------------------------------------
-# Result record
+# Clocks and the result record
 # ----------------------------------------------------------------------
-class Record:
-    """Raw samples and operation counts of one job."""
+#: Timed figures: the gated reference-speed sample and its ungated wall-time twin.
+TIMED = ("setup_s", "job_s", "checkpoint_s", "resume_s")
+#: A stream closes a reference-clock segment after this much CPU time, so
+#: each update latency is scaled by the probes taken around it.
+BLOCK_NS = 40_000_000
 
-    def __init__(self) -> None:
-        self.setup_s: List[float] = []
-        self.job_s: List[float] = []
-        self.checkpoint_s: List[float] = []
-        self.resume_s: List[float] = []
-        self.update_ns = array("q")
+
+class Record:
+    """Raw samples and operation counts of one job process.
+
+    Every timed figure is kept twice: as CPU time at reference speed of all
+    processes doing the work (``setup_s`` ...; gated; see ``RefClock``) and
+    as wall time (``wall_setup_s`` ...; printed only).
+    """
+
+    def __init__(self, fleet: Optional[CpuClock] = None) -> None:
+        #: The service-fleet clock also counts the daemon and its shards.
+        self.fleet = fleet
+        self.clock = RefClock(fleet or time.process_time_ns)
+        self.times: Dict[str, List[float]] = {
+            key: [] for name in TIMED for key in (name, "wall_" + name)
+        }
+        self.update_ref_ns: List[float] = []
+        self.update_wall_ns = array("q")
         self.stream_changes = 0
         self.attempted = 0
         self.failed = 0
         self.failures: List[str] = []
         self.counts: Dict[str, float] = {}
+        self.position = 0
+
+    def stamp(self) -> Tuple[int, float]:
+        """Wall and reference-speed CPU clock readings, in ns."""
+        return self.clock.mark()
+
+    def since(self, name: str, stamp: Tuple[int, float]) -> None:
+        """Add the time since ``stamp`` as one ``name`` sample."""
+        wall, ref = self.clock.mark()
+        self.times[name].append((ref - stamp[1]) / 1e9)
+        self.times["wall_" + name].append((wall - stamp[0]) / 1e9)
+
+    def updates(self, cpu_ns: List[int]) -> None:
+        """Close the stream's current segment; keep its update latencies at reference speed."""
+        self.clock.mark()
+        self.update_ref_ns.extend(ns * self.clock.factor for ns in cpu_ns)
+        cpu_ns.clear()
 
     def check(self, ok: bool, message: str) -> None:
         """Count one output check; a failed check is a failed operation."""
@@ -173,15 +215,15 @@ class Record:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "setup_s": self.setup_s,
-            "job_s": self.job_s,
-            "checkpoint_s": self.checkpoint_s,
-            "resume_s": self.resume_s,
-            "update_ns": self.update_ns.tolist(),
+            "times": self.times,
+            "update_ref_ns": self.update_ref_ns,
+            "update_wall_ns": self.update_wall_ns.tolist(),
+            "probe_ns": self.clock.probes,
             "stream_changes": self.stream_changes,
             "attempted": self.attempted,
             "failed": self.failed,
             "failures": self.failures,
+            "position": self.position,
         }
 
 
@@ -235,84 +277,114 @@ class Spans:
 # ----------------------------------------------------------------------
 # In-process session jobs
 # ----------------------------------------------------------------------
+def window_fill(spec: ScenarioSpec) -> int:
+    """Changes a sliding_window workload spends filling its window.
+
+    They are all insertions into a graph that starts empty; the steady
+    insert/delete churn the window workloads measure starts after them.
+    """
+    if spec.workload.kind != "sliding_window":
+        return 0
+    return spec.workload.params["window_size"]
+
+
+def fill(session: Session, units: int, tracer: Optional[Tracer]) -> None:
+    """Step ``units`` times untimed (part of the job, not of the stream figures)."""
+    with Spans(tracer)("scenario.fill"):
+        for _ in range(units):
+            session.step()
+
+
 def stream(session: Session, units: int, record: Record, tracer: Optional[Tracer]) -> None:
     """Step ``units`` times (closed loop), timing every step."""
-    step, now, latencies = session.step, time.perf_counter_ns, record.update_ns
+    clock = record.clock
+    step, wall, cpu = session.step, clock.wall, clock.cpu
+    wall_ns, block = record.update_wall_ns, []
+    name = tracer.name_id("scenario.step") if tracer is not None else None
     before = session.position
-    if tracer is None:
-        for _ in range(units):
-            t0 = now()
+    record.stamp()
+    for _ in range(units):
+        c0 = cpu()
+        w0 = wall()
+        if tracer is not None:
+            token = tracer.begin(name)
             step()
-            latencies.append(now() - t0)
-    else:
-        begin, end, name = tracer.begin, tracer.end, tracer.name_id("scenario.step")
-        for _ in range(units):
-            token = begin(name)
-            t0 = now()
+            tracer.end(token)
+        else:
             step()
-            latencies.append(now() - t0)
-            end(token)
+        w1 = wall()
+        block.append(cpu() - c0)
+        wall_ns.append(w1 - w0)
+        if clock.since_mark() >= BLOCK_NS:
+            record.updates(block)
+    record.updates(block)
     record.stream_changes += session.position - before
     record.attempted += units
 
 
-def session_job(
-    spec: ScenarioSpec, checkpoints: int, record: Record, tracer: Optional[Tracer]
-) -> Session:
-    """Set up, stream half, checkpoint to a file, load, resume, stream the rest, verify.
+def session_run(
+    spec: ScenarioSpec, path: str, record: Record, tracer: Optional[Tracer]
+) -> None:
+    """Set up, fill the window, stream half the rest, checkpoint to ``path``.
 
-    The first checkpoint belongs to the job; the repeats only add samples,
-    and their time is left out of ``job_s``.
+    The first of the ``CHECKPOINTS`` checkpoints ends this process's share
+    of the job; the repeats only add samples.  The resume runs in a fresh
+    process (``session_resume``), so it builds its graph cold, as a resume
+    from a checkpoint file does.
     """
     span = Spans(tracer)
-    backend = "core" if spec.backend.runner == "sequential" else "distributed"
-    path = "session.ckpt.json"
-    extra = 0.0
-    job_start = clock()
-
+    job_start = record.stamp()
     with span("scenario.setup"):
         session = Session(spec)
-    record.setup_s.append(clock() - job_start)
-    total = session.num_changes
-    stream(session, total // 2, record, tracer)
+    record.since("setup_s", job_start)
+    filled = window_fill(spec)
+    fill(session, filled, tracer)
+    stream(session, (session.num_changes - filled) // 2, record, tracer)
 
-    for repeat in range(checkpoints):
-        started = clock()
+    for repeat in range(CHECKPOINTS):
+        started = record.stamp()
         with span("scenario.checkpoint_take"):
             checkpoint = session.checkpoint(full=True)
         with span("scenario.checkpoint_save"):
             save_checkpoint(path, checkpoint)
-        elapsed = clock() - started
-        record.checkpoint_s.append(elapsed)
+        record.since("checkpoint_s", started)
         record.attempted += 1
-        extra += elapsed if repeat else 0.0
         del checkpoint
+        if repeat == 0:
+            record.since("job_s", job_start)
     record.counts["scenario.checkpoint_bytes"] = os.path.getsize(path)
-    position = session.position
-    del session
+    record.position = session.position
 
-    started = clock()
+
+def session_resume(path: str, position: int, record: Record, tracer: Optional[Tracer]) -> str:
+    """Load the checkpoint file, resume, stream the rest, verify; return the runner."""
+    span = Spans(tracer)
+    job_start = record.stamp()
     with span("scenario.checkpoint_load"):
         loaded = load_checkpoint(path)
     with span("scenario.resume"):
         resumed = Session.resume(loaded)
-    record.resume_s.append(clock() - started)
+    record.since("resume_s", job_start)
     record.attempted += 1
     del loaded
     record.check(resumed.position == position, f"resumed at {resumed.position} != {position}")
 
-    stream(resumed, total - resumed.position, record, tracer)
+    runner = resumed.spec.backend.runner
+    backend = "core" if runner == "sequential" else "distributed"
+    stream(resumed, resumed.num_changes - resumed.position, record, tracer)
     try:
         with span(f"{backend}.verify"):
             resumed.verify()
         record.check(True, "")
     except AssertionError as error:
         record.check(False, f"verify: {error}")
-    record.job_s.append(clock() - job_start - extra)
+    record.since("job_s", job_start)
 
     check_resumed(resumed, record)
+    cost_counts(resumed, record)
     record.counts["graph.edges"] = resumed.initial_graph.num_edges()
-    return resumed
+    record.counts["changes_per_materialize"] = resumed.num_changes
+    return runner
 
 
 def check_resumed(session: Session, record: Record) -> None:
@@ -338,21 +410,11 @@ def cost_counts(session: Session, record: Record) -> None:
         record.counts["distributed.bits_per_change"] = summary["mean_bits"]
 
 
-def run_lifecycle(args, record: Record, tracer: Optional[Tracer]) -> str:
-    # One repetition per fresh process (run.py starts several), so the
-    # set-up builds its graph cold; the repetitions give the medians.
-    spec = lifecycle_spec(args.seed, args.rep)
-    record.counts["changes_per_materialize"] = spec.workload.num_changes
-    cost_counts(session_job(spec, CHECKPOINTS, record, tracer), record)
-    return "sequential"
-
-
-def run_window(specs: List[ScenarioSpec], record: Record, tracer: Optional[Tracer]) -> str:
-    record.counts["changes_per_materialize"] = specs[0].workload.num_changes
-    for spec in specs:
-        session = session_job(spec, CHECKPOINTS, record, tracer)
-    cost_counts(session, record)
-    return specs[0].backend.runner
+SESSION_SPECS = {
+    "churn-lifecycle-5k": lifecycle_spec,
+    "window-stream-seq": seq_spec,
+    "window-stream-protocol": protocol_spec,
+}
 
 
 # ----------------------------------------------------------------------
@@ -393,21 +455,32 @@ class Daemon:
 
 
 def fleet_life(specs: List[ScenarioSpec], record: Record, span: Spans) -> Daemon:
-    """Start a daemon and create every session (one set-up sample)."""
-    started = clock()
+    """Start a daemon and create every session (one set-up sample).
+
+    The daemon and its shards start counting CPU time at zero, so watching
+    them from here charges set-up with all of their start-up work.
+    """
+    started = record.stamp()
     with span("service.start"):
         daemon = Daemon("fleet")
+    record.fleet.watch(process_tree(daemon.process.pid))
     try:
         with ServiceClient(daemon.address) as client:
             for spec in specs:
                 with span("service.create"):
                     client.create(spec.name, spec.to_dict())
     except BaseException:
+        record.fleet.bank()
         daemon.stop()
         raise
-    record.setup_s.append(clock() - started)
+    record.since("setup_s", started)
     record.attempted += len(specs)
     return daemon
+
+
+def stop_fleet(daemon: Daemon, record: Record) -> None:
+    record.fleet.bank()
+    daemon.stop()
 
 
 def run_fleet(args, record: Record, tracer: Optional[Tracer]) -> str:
@@ -423,15 +496,18 @@ def run_fleet(args, record: Record, tracer: Optional[Tracer]) -> str:
                 for name in names:
                     client.close_session(name)
         finally:
-            daemon.stop()
+            stop_fleet(daemon, record)
 
-    job_start = clock()
+    job_start = record.stamp()
     daemon = fleet_life(specs, record, span)
     try:
         with ServiceClient(daemon.address) as client:
+            for name in names:
+                client.apply_batch(name, steps=window_fill(specs[0]) // FLEET_BATCH)
+            record.attempted += len(names)
             units = -(-specs[0].workload.num_changes // FLEET_BATCH)
             mis = drive_fleet(client, names, max(1, units // FLEET_SPOOL_CYCLES), record, tracer)
-            record.job_s.append(clock() - job_start)
+            record.since("job_s", job_start)
             stats = client.stats()
             record.attempted += 1
             for name in names:
@@ -440,12 +516,14 @@ def run_fleet(args, record: Record, tracer: Optional[Tracer]) -> str:
         record.counts["service.evictions"] = stats["evictions"]
         record.counts["service.rehydrations"] = stats["rehydrations"]
     finally:
-        daemon.stop()
+        stop_fleet(daemon, record)
 
     for spec in specs:
         replay = Session(spec)
-        while replay.step() is not None:
-            pass
+        fill(replay, window_fill(spec) // FLEET_BATCH, tracer)
+        with span("scenario.replay"):
+            while replay.step() is not None:
+                pass
         try:
             replay.verify()
             record.check(True, "")
@@ -483,37 +561,47 @@ def drive_fleet(
     whole stream.
     """
     span = Spans(tracer)
-    now, latencies = time.perf_counter_ns, record.update_ns
+    clock = record.clock
+    wall, cpu = clock.wall, clock.cpu
+    wall_ns, block = record.update_wall_ns, []
     name_id = tracer.name_id("service.request") if tracer is not None else None
     live = list(names)
     turns = 0
+    record.stamp()
     while live:
         for name in list(live):
+            c0 = cpu()
+            w0 = wall()
             token = tracer.begin(name_id) if tracer is not None else None
-            t0 = now()
             status = client.apply_batch(name, steps=1)
-            latencies.append(now() - t0)
             if token is not None:
                 tracer.end(token)
+            w1 = wall()
+            block.append(cpu() - c0)
+            wall_ns.append(w1 - w0)
             record.attempted += 1
             record.stream_changes += status["applied"] * FLEET_BATCH
             if status["done"]:
                 live.remove(name)
+            if clock.since_mark() >= BLOCK_NS:
+                record.updates(block)
         turns += 1
         if turns % period == 0:
+            record.updates(block)
             name = names[(turns // period) % len(names)]
-            started = clock()
+            started = record.stamp()
             with span("service.checkpoint_op"):
                 client.checkpoint(name)
-            record.checkpoint_s.append(clock() - started)
-            started = clock()
+            record.since("checkpoint_s", started)
+            started = record.stamp()
             with span("service.evict"):
                 client.evict(name)
             with span("service.rehydrate"):
                 status = client.query(name, "status")
-            record.resume_s.append(clock() - started)
+            record.since("resume_s", started)
             record.attempted += 3
             record.check(status["live"], f"{name} did not rehydrate")
+    record.updates(block)
     mis = {}
     for name in names:
         mis[name] = client.query(name, "mis")
@@ -524,32 +612,35 @@ def drive_fleet(
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
+CHECKPOINT_FILE = "session.ckpt.json"
+
+
 def run_job(args) -> Dict[str, Any]:
-    record = Record()
+    record = Record(CpuClock() if args.workload == "service-fleet" else None)
     tracer = None
     if args.trace:
-        tracer = Tracer(f"{args.workload}:seed={args.seed}:rep={args.rep}")
+        phase = "resume" if args.resume else "run"
+        tracer = Tracer(f"{args.workload}:seed={args.seed}:rep={args.rep}:{phase}")
         install_hooks(tracer)
-    if args.workload == "churn-lifecycle-5k":
-        runner = run_lifecycle(args, record, tracer)
-    elif args.workload == "window-stream-seq":
-        specs = [seq_spec(args.seed, args.seconds, index) for index in range(ROUNDS)]
-        runner = run_window(specs, record, tracer)
-    elif args.workload == "window-stream-protocol":
-        specs = [protocol_spec(args.seed, args.seconds, index) for index in range(ROUNDS)]
-        runner = run_window(specs, record, tracer)
-    elif args.workload == "service-fleet":
+    if args.workload == "service-fleet":
         runner = run_fleet(args, record, tracer)
-    else:
+    elif args.workload not in SESSION_SPECS:
         raise SystemExit(f"unknown workload {args.workload!r}")
+    elif args.resume:
+        runner = session_resume(CHECKPOINT_FILE, args.position, record, tracer)
+    else:
+        spec = SESSION_SPECS[args.workload](args.seed, args.seconds, args.rep)
+        record.counts["changes_per_materialize"] = spec.workload.num_changes
+        session_run(spec, CHECKPOINT_FILE, record, tracer)
+        runner = spec.backend.runner
+    record.clock.close()
     result = record.to_dict()
     result["peak_rss_kb"] = max(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
     )
     if tracer is not None:
-        rows = tracer.rows()
-        result["layers"] = layers.layer_metrics(rows, runner, record.counts)
+        result["layers"] = [layers.layer_metrics(tracer.rows(), runner, record.counts)]
         if args.spans:
             tracer.write_jsonl(args.spans)
     return result
@@ -563,6 +654,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--rep", type=int, default=0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--spans", default=None)
+    parser.add_argument(
+        "--resume", action="store_true",
+        help=f"resume the session from {CHECKPOINT_FILE} in the working directory",
+    )
+    parser.add_argument("--position", type=int, default=0, help="position the resume must reach")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     try:

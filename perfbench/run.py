@@ -6,13 +6,23 @@ Run from the repository root::
     python3 perfbench/run.py --workload all --seed 1          # every workload in turn
     python3 perfbench/run.py --describe                       # the layer -> metric map
 
-Each workload runs in fresh processes (``job.py``; churn-lifecycle-5k runs
-one process per repetition) inside a temp dir under ``.perfbench-tmp/`` that
-is removed afterwards.  ``--trace 0`` prints every end-to-end metric;
-``--trace 1`` runs the workload once untraced and once traced, and prints
-every per-layer metric plus ``trace.overhead_frac`` (traced over untraced
-``job_s``, minus one).  ``--spans FILE`` additionally writes the traced
-spans as JSON lines.
+Each workload runs in fresh ``job.py`` processes inside a temp dir under
+``.perfbench-tmp/`` that is removed afterwards: the in-process workloads run
+several sessions, each as a run process and a resume process; service-fleet
+runs one.  ``--trace 0`` prints every end-to-end metric; ``--trace 1`` runs
+the workload once untraced and once traced, and prints every per-layer
+metric plus ``trace.overhead_frac`` (traced over untraced ``job_s``, minus
+one).  ``--spans FILE`` additionally writes the traced spans as JSON lines.
+
+The gated times are CPU time (user + system) of every process doing the
+work -- the job process, and on service-fleet the daemon and its shards --
+at reference speed: a timer runs a fixed piece of Python work every 20 ms,
+and each stretch of CPU time is scaled by how fast that probe ran during it
+(``clocks.py``).  On a shared host, two-second medians of the same work
+ranged from 0.8 to 1.4 times their overall median within one minute, in CPU
+time as much as in wall time; the probes take that swing out.  Every gated
+time has a ``wall_`` twin that is printed, not gated, and the record line
+carries the median probe time of the run.
 
 The last line of the output is one JSON object:
 ``{"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}``.
@@ -24,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import shutil
@@ -53,30 +62,35 @@ WORKLOADS = (
 
 #: Every run ends within this many seconds; a job still running is killed.
 RUN_BUDGET_S = 170.0
+#: Sessions (each its own pair of processes) of the in-process workloads.
+LIFECYCLE_SESSIONS = 4
+WINDOW_SESSIONS = 3
 
 
-def lifecycle_reps(seconds: int) -> int:
-    """churn-lifecycle-5k repeats its ~6 s lifecycle: five at the default 20 s."""
-    return max(3, math.ceil(seconds / 4))
+def sessions(workload: str) -> int:
+    if workload == "service-fleet":
+        return 1
+    return LIFECYCLE_SESSIONS if workload == "churn-lifecycle-5k" else WINDOW_SESSIONS
 
 
 # ----------------------------------------------------------------------
 # Jobs
 # ----------------------------------------------------------------------
 def run_job(
-    workload: str, seed: int, seconds: int, rep: int, trace: int, workdir: Path,
-    deadline: float, spans: Optional[str],
+    workload: str, seed: int, seconds: int, rep: int, trace: int, jobdir: Path,
+    deadline: float, spans: Optional[str], resume_at: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """One ``job.py`` process in its own directory and process group."""
-    jobdir = Path(tempfile.mkdtemp(prefix=f"job{rep}-t{trace}-", dir=workdir))
-    out = jobdir / "result.json"
+    """One ``job.py`` process in ``jobdir``, in its own process group."""
+    out = jobdir / ("resume.json" if resume_at is not None else "run.json")
     command = [
         sys.executable, str(HERE / "job.py"),
         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
         "--rep", str(rep), "--trace", str(trace), "--out", str(out),
     ]
+    if resume_at is not None:
+        command += ["--resume", "--position", str(resume_at)]
     if spans:
-        command += ["--spans", str(Path(spans).resolve())]
+        command += ["--spans", spans]
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH", "")])
@@ -93,6 +107,44 @@ def run_job(
     if process.returncode != 0 or not out.exists():
         return _failed_job(f"job exited with code {process.returncode}")
     return json.loads(out.read_text(encoding="utf-8"))
+
+
+def run_session(
+    workload: str, seed: int, seconds: int, rep: int, trace: int, workdir: Path,
+    deadline: float, spans: Optional[str],
+) -> Dict[str, Any]:
+    """One session: its run process and, for a session workload, its resume process."""
+    jobdir = Path(tempfile.mkdtemp(prefix=f"job{rep}-t{trace}-", dir=workdir))
+    first = run_job(workload, seed, seconds, rep, trace, jobdir, deadline, spans)
+    if workload == "service-fleet" or first.get("failed"):
+        return first
+    second = run_job(
+        workload, seed, seconds, rep, trace, jobdir, deadline, spans, first["position"]
+    )
+    return combine(first, second)
+
+
+def combine(first: Dict[str, Any], second: Dict[str, Any]) -> Dict[str, Any]:
+    """One session's result from its run and resume processes: samples pooled,
+    ``job_s`` (each process's share of the job) summed."""
+    times = {
+        key: first.get("times", {}).get(key, []) + second.get("times", {}).get(key, [])
+        for key in set(first.get("times", {})) | set(second.get("times", {}))
+    }
+    for key in ("job_s", "wall_job_s"):
+        times[key] = [sum(times.get(key, ()))]
+    return {
+        "times": times,
+        "update_ref_ns": first.get("update_ref_ns", []) + second.get("update_ref_ns", []),
+        "update_wall_ns": first.get("update_wall_ns", []) + second.get("update_wall_ns", []),
+        "probe_ns": first.get("probe_ns", []) + second.get("probe_ns", []),
+        "stream_changes": first.get("stream_changes", 0) + second.get("stream_changes", 0),
+        "attempted": first.get("attempted", 0) + second.get("attempted", 0),
+        "failed": first.get("failed", 0) + second.get("failed", 0),
+        "failures": first.get("failures", []) + second.get("failures", []),
+        "peak_rss_kb": max(first.get("peak_rss_kb", 0), second.get("peak_rss_kb", 0)),
+        "layers": first.get("layers", []) + second.get("layers", []),
+    }
 
 
 def _reap_group(group: int) -> None:
@@ -117,40 +169,48 @@ def _pool(results: List[Dict[str, Any]], key: str) -> List[float]:
     return out
 
 
+def _times(results: List[Dict[str, Any]], key: str) -> List[float]:
+    return _pool([result.get("times", {}) for result in results], key)
+
+
 def end_to_end(results: List[Dict[str, Any]]) -> Dict[str, float]:
-    """The end-to-end metrics of a workload from its untraced jobs."""
-    updates_ns = _pool(results, "update_ns")
-    latencies = [ns / 1000.0 for ns in updates_ns]
+    """The end-to-end metrics of a workload from its untraced sessions.
+
+    The gated times are CPU time at reference speed of every process doing
+    the work; each has a ``wall_`` twin, printed only.
+    """
     changes = sum(result.get("stream_changes", 0) for result in results)
-    return {
-        "setup_s": benchstats.median(_pool(results, "setup_s")),
-        "job_s": benchstats.median(_pool(results, "job_s")),
-        "changes_per_s": benchstats.windowed_rate([ns / 1e9 for ns in updates_ns], changes),
-        "update_p50_us": benchstats.percentile(latencies, 0.5),
-        "update_p99_us": benchstats.percentile(latencies, 0.99),
-        "checkpoint_s": benchstats.median(_pool(results, "checkpoint_s")),
-        "resume_s": benchstats.median(_pool(results, "resume_s")),
-        "peak_rss_mb": max((result.get("peak_rss_kb", 0) for result in results), default=0)
-        / 1024.0,
-    }
+    out: Dict[str, float] = {}
+    for prefix, key in (("", "update_ref_ns"), ("wall_", "update_wall_ns")):
+        updates_ns = _pool(results, key)
+        latencies = [ns / 1000.0 for ns in updates_ns]
+        out[prefix + "setup_s"] = benchstats.median(_times(results, prefix + "setup_s"))
+        out[prefix + "job_s"] = benchstats.median(_times(results, prefix + "job_s"))
+        out[prefix + "changes_per_s"] = benchstats.rate([ns / 1e9 for ns in updates_ns], changes)
+        out[prefix + "update_p50_us"] = benchstats.percentile(latencies, 0.5)
+        out[prefix + "update_p99_us"] = benchstats.percentile(latencies, 0.99)
+        out[prefix + "checkpoint_s"] = benchstats.median(_times(results, prefix + "checkpoint_s"))
+        out[prefix + "resume_s"] = benchstats.median(_times(results, prefix + "resume_s"))
+    out["peak_rss_mb"] = max((result.get("peak_rss_kb", 0) for result in results), default=0) / 1024.0
+    return out
 
 
 def per_layer(traced: List[Dict[str, Any]], untraced: List[Dict[str, Any]]) -> Dict[str, float]:
-    """Per-layer metrics (median over traced jobs) plus the tracing overhead."""
-    out = {}
-    for name, _ in layers.PER_LAYER:
-        out[name] = benchstats.median(result.get("layers", {}).get(name, 0.0) for result in traced)
-    plain = benchstats.median(_pool(untraced, "job_s"))
-    spanned = benchstats.median(_pool(traced, "job_s"))
+    """Per-layer metrics (each the median over the traced processes that saw
+    it) plus the tracing overhead."""
+    out = layers.merge(_pool(traced, "layers"))
+    plain = benchstats.median(_times(untraced, "job_s"))
+    spanned = benchstats.median(_times(traced, "job_s"))
     out["trace.overhead_frac"] = spanned / plain - 1.0 if plain else 0.0
     return out
 
 
 def sample_counts(results: List[Dict[str, Any]]) -> Dict[str, int]:
-    return {
-        key: len(_pool(results, key))
-        for key in ("setup_s", "job_s", "checkpoint_s", "resume_s", "update_ns")
+    counts = {
+        key: len(_times(results, key)) for key in ("setup_s", "job_s", "checkpoint_s", "resume_s")
     }
+    counts["updates"] = len(_pool(results, "update_ref_ns"))
+    return counts
 
 
 def environment(workload: str, seed: int, seconds: int, trace: int) -> Dict[str, Any]:
@@ -189,25 +249,21 @@ def _commit() -> Optional[str]:
 def run_workload(
     workload: str, seed: int, seconds: int, trace: int, spans: Optional[str]
 ) -> Dict[str, Any]:
-    """Run one workload's jobs, print its report, return the result line."""
+    """Run one workload's sessions, print its report, return the result line."""
     deadline = time.monotonic() + RUN_BUDGET_S
     scratch = ROOT / ".perfbench-tmp"
     scratch.mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix=f"{workload}-{seed}-", dir=scratch))
-    reps = lifecycle_reps(seconds) if workload == "churn-lifecycle-5k" else 1
     try:
         untraced = [
-            run_job(workload, seed, seconds, rep, 0, workdir, deadline, None)
-            for rep in range(reps)
+            run_session(workload, seed, seconds, rep, 0, workdir, deadline, None)
+            for rep in range(sessions(workload))
         ]
         traced = []
         if trace:
             traced = [
-                run_job(
-                    workload, seed, seconds, rep, 1, workdir, deadline,
-                    f"{spans}.{rep}" if spans and reps > 1 else spans,
-                )
-                for rep in range(reps)
+                run_session(workload, seed, seconds, rep, 1, workdir, deadline, spans)
+                for rep in range(sessions(workload))
             ]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -222,25 +278,27 @@ def run_workload(
     failures = [message for result in jobs for message in result.get("failures", ())]
     e2e = end_to_end(untraced)
     counts = sample_counts(untraced)
-    latency = benchstats.latency_summary(_pool(untraced, "update_ns"))
+    latency = benchstats.latency_summary(_pool(untraced, "update_ref_ns"))
+    e2e["error_rate"] = benchstats.error_rate(max(attempted, 1), failed)
 
     print(f"== {workload}  seed={seed}  seconds={seconds}  trace={trace}  (* gated)")
     units = {name: unit for name, unit, _ in layers.END_TO_END}
     units.update(layers.REPORTED)
-    e2e["error_rate"] = benchstats.error_rate(max(attempted, 1), failed)
+    gated = {name for name, _, _ in layers.END_TO_END}
     notes = {
-        "setup_s": f"median of {counts['setup_s']}",
-        "job_s": f"median of {counts['job_s']}",
-        "checkpoint_s": f"median of {counts['checkpoint_s']}",
-        "resume_s": f"median of {counts['resume_s']}",
-        "update_p50_us": f"n={latency['n']}",
-        "update_p99_us": f"n={latency['n']}, {latency['p99_beyond']} beyond"
+        "setup_s": f"ref CPU, median of {counts['setup_s']}",
+        "job_s": f"ref CPU, median of {counts['job_s']}",
+        "changes_per_s": "per ref CPU second of the streams",
+        "checkpoint_s": f"ref CPU, median of {counts['checkpoint_s']}",
+        "resume_s": f"ref CPU, median of {counts['resume_s']}",
+        "update_p50_us": f"ref CPU, n={latency['n']}",
+        "update_p99_us": f"ref CPU, n={latency['n']}, {latency['p99_beyond']} beyond"
         + ("" if latency["p99_supported"] else " -- fewer than 10: not supported"),
         "error_rate": f"{failed} of {attempted} operations",
     }
     for name, value in e2e.items():
-        gate = "" if name in dict(layers.REPORTED) else "*"
-        print(f"{gate:>2} {name:<16} {value:>16.6g} {units[name]:<5} {notes.get(name, '')}")
+        note = notes.get(name, notes.get(name[len("wall_"):], "").replace("ref CPU", "wall"))
+        print(f"{'*' if name in gated else '':>2} {name:<20} {value:>16.6g} {units[name]:<5} {note}")
     for message in failures[:10]:
         print(f"  FAILED: {message}")
 
@@ -259,9 +317,9 @@ def run_workload(
 
     record = environment(workload, seed, seconds, trace)
     record.update(
+        probe_ms=benchstats.median(_pool(untraced, "probe_ns")) / 1e6,
         samples=counts,
-        update_p99_us=e2e["update_p99_us"],
-        error_rate=e2e["error_rate"],
+        reported={name: e2e[name] for name, _ in layers.REPORTED},
         failures=failures[:10],
     )
     print("# record " + json.dumps(record, sort_keys=True))
@@ -299,9 +357,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: the library is missing ({SRC / 'repro'} not found)", file=sys.stderr)
         return 2
     names = WORKLOADS if args.workload == "all" else (args.workload,)
+    spans = None
+    if args.spans:
+        spans = str(Path(args.spans).resolve())
+        Path(spans).write_text("", encoding="utf-8")  # every traced process appends
     results = []
     for name in names:
-        spans = f"{args.spans}.{name}" if args.spans and len(names) > 1 else args.spans
         results.append(run_workload(name, args.seed, args.seconds, args.trace, spans))
         sys.stdout.flush()
     if len(results) == 1:

@@ -1,8 +1,8 @@
 """In-memory span recording for the traced benchmark run.
 
 A :class:`Tracer` records named spans (start, end, parent, run id) into
-per-thread column arrays, so concurrent client threads never interleave
-their rows and a few hundred thousand spans stay a few megabytes.  Spans are
+column arrays, so a few hundred thousand spans stay a few megabytes.  Every
+traced job process is single-threaded and has its own tracer.  Spans are
 opened around calls into the library's public functions: directly at the
 benchmark's call sites, or through :func:`instrument`, which wraps a public
 method or module function for the lifetime of one traced process.  Nothing
@@ -15,73 +15,48 @@ part of its interval that its child spans cover.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from array import array
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 NO_PARENT = -1
-_MISSING = object()
-
-
-class _Buffer:
-    """The span rows of one thread."""
-
-    def __init__(self, thread: int) -> None:
-        self.thread = thread
-        self.name = array("i")
-        self.start = array("q")
-        self.end = array("q")
-        self.parent = array("i")
-        self.stack: List[int] = []
 
 
 class Tracer:
-    """Record nestable named spans; one tracer per traced run."""
+    """Record nestable named spans; one tracer per traced process."""
 
     def __init__(self, run_id: str) -> None:
         self.run_id = run_id
         self.names: List[str] = []
         self._name_ids: Dict[str, int] = {}
-        self._buffers: List[_Buffer] = []
-        self._local = threading.local()
-        self._lock = threading.Lock()
+        self._name = array("i")
+        self._start = array("q")
+        self._end = array("q")
+        self._parent = array("i")
+        self._stack: List[int] = []
 
     def name_id(self, name: str) -> int:
         """The interned id of ``name``."""
-        with self._lock:
-            if name not in self._name_ids:
-                self._name_ids[name] = len(self.names)
-                self.names.append(name)
-            return self._name_ids[name]
-
-    def _buffer(self) -> _Buffer:
-        buffer = getattr(self._local, "buffer", None)
-        if buffer is None:
-            with self._lock:
-                buffer = _Buffer(len(self._buffers))
-                self._buffers.append(buffer)
-            self._local.buffer = buffer
-        return buffer
+        if name not in self._name_ids:
+            self._name_ids[name] = len(self.names)
+            self.names.append(name)
+        return self._name_ids[name]
 
     def begin(self, name_id: int) -> int:
-        """Open a span (child of this thread's innermost open span)."""
-        buffer = self._buffer()
-        index = len(buffer.start)
-        buffer.name.append(name_id)
-        buffer.parent.append(buffer.stack[-1] if buffer.stack else NO_PARENT)
-        buffer.end.append(0)
-        buffer.stack.append(index)
-        buffer.start.append(time.perf_counter_ns())
+        """Open a span (child of the innermost open span)."""
+        index = len(self._start)
+        self._name.append(name_id)
+        self._parent.append(self._stack[-1] if self._stack else NO_PARENT)
+        self._end.append(0)
+        self._stack.append(index)
+        self._start.append(time.perf_counter_ns())
         return index
 
     def end(self, index: int) -> None:
         """Close the span ``begin`` returned (spans close innermost first)."""
-        now = time.perf_counter_ns()
-        buffer = self._buffer()
-        buffer.end[index] = now
-        buffer.stack.pop()
+        self._end[index] = time.perf_counter_ns()
+        self._stack.pop()
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
@@ -92,34 +67,24 @@ class Tracer:
         finally:
             self.end(index)
 
-    def rows(self) -> List[Tuple[int, int, str, int, int, int]]:
-        """Every closed span as ``(thread, index, name, start_ns, end_ns, parent)``."""
-        out = []
-        for buffer in self._buffers:
-            for index in range(len(buffer.start)):
-                if buffer.end[index]:
-                    out.append(
-                        (
-                            buffer.thread,
-                            index,
-                            self.names[buffer.name[index]],
-                            buffer.start[index],
-                            buffer.end[index],
-                            buffer.parent[index],
-                        )
-                    )
-        return out
+    def rows(self) -> List[Tuple[int, str, int, int, int]]:
+        """Every closed span as ``(index, name, start_ns, end_ns, parent)``."""
+        return [
+            (index, self.names[self._name[index]], self._start[index], self._end[index],
+             self._parent[index])
+            for index in range(len(self._start))
+            if self._end[index]
+        ]
 
     def write_jsonl(self, path: str) -> int:
-        """Write every span as one JSON line; returns the span count."""
+        """Append every span to ``path`` as one JSON line; returns the span count."""
         rows = self.rows()
-        with open(path, "w", encoding="utf-8") as handle:
-            for thread, index, name, start, end, parent in rows:
+        with open(path, "a", encoding="utf-8") as handle:
+            for index, name, start, end, parent in rows:
                 handle.write(
                     json.dumps(
                         {
                             "run": self.run_id,
-                            "thread": thread,
                             "id": index,
                             "name": name,
                             "start_ns": start,
@@ -132,27 +97,16 @@ class Tracer:
         return len(rows)
 
 
-def instrument(tracer: Tracer, targets: Sequence[Tuple[object, str, str]]) -> Callable[[], None]:
+def instrument(tracer: Tracer, targets: Sequence[Tuple[object, str, str]]) -> None:
     """Wrap ``owner.attribute`` in a span named ``name`` for each target.
 
     ``owner`` is a class (the wrapper then applies to every instance) or a
-    module (for a module-level function).  Returns a callable that restores
-    the originals.
+    module (for a module-level function).  The wrappers stay for the life of
+    the traced process.
     """
-    saved = []
     for owner, attribute, name in targets:
         original = getattr(owner, attribute)
-        saved.append((owner, attribute, vars(owner).get(attribute, _MISSING)))
         setattr(owner, attribute, _wrapped(tracer, tracer.name_id(name), original))
-
-    def undo() -> None:
-        for owner, attribute, original in reversed(saved):
-            if original is _MISSING:  # the wrapper shadowed an inherited method
-                delattr(owner, attribute)
-            else:
-                setattr(owner, attribute, original)
-
-    return undo
 
 
 def _wrapped(tracer: Tracer, name_id: int, function: Callable) -> Callable:
@@ -181,14 +135,13 @@ def covered(interval: Tuple[int, int], children: Sequence[Tuple[int, int]]) -> i
     return total
 
 
-def self_times(rows: Sequence[Tuple[int, int, str, int, int, int]]) -> Dict[Tuple[int, int], int]:
-    """Self time (ns) of every span, keyed by ``(thread, index)``."""
-    children: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for thread, _, _, start, end, parent in rows:
+def self_times(rows: Sequence[Tuple[int, str, int, int, int]]) -> Dict[int, int]:
+    """Self time (ns) of every span, keyed by its index."""
+    children: Dict[int, List[Tuple[int, int]]] = {}
+    for _, _, start, end, parent in rows:
         if parent != NO_PARENT:
-            children.setdefault((thread, parent), []).append((start, end))
+            children.setdefault(parent, []).append((start, end))
     return {
-        (thread, index): (end - start)
-        - covered((start, end), children.get((thread, index), ()))
-        for thread, index, _, start, end, _ in rows
+        index: (end - start) - covered((start, end), children.get(index, ()))
+        for index, _, start, end, _ in rows
     }

@@ -7,8 +7,10 @@ import neither the library nor numpy.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
-import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import benchstats  # noqa: E402
 import layers  # noqa: E402
+import run  # noqa: E402
+import clocks  # noqa: E402
+from clocks import CpuClock, process_tree  # noqa: E402
 from spans import Tracer, covered, instrument, self_times  # noqa: E402
 
 
@@ -68,19 +73,11 @@ def test_median():
     assert benchstats.median([]) == 0.0
 
 
-def test_windowed_rate_is_the_median_window():
-    # 100 updates of 1 s applying 1 change each: 1 change/s in every window.
-    assert benchstats.windowed_rate([1.0] * 100, 100) == 1.0
-    # Batches: 2 changes per update.
-    assert benchstats.windowed_rate([1.0] * 250, 500) == 2.0
-    # One slow window (a stall) does not move the median.
-    latencies = [1.0] * 99 + [50.0]
-    assert benchstats.windowed_rate(latencies, 100) == 1.0
-    # Fewer updates than windows: one update per window; the remainder
-    # joins the last window.
-    assert benchstats.windowed_rate([0.5] * 7, 7) == 2.0
-    assert benchstats.windowed_rate([1.0, 1.0, 1.0, 3.0], 4, windows=2) == pytest.approx(0.75)
-    assert benchstats.windowed_rate([], 0) == 0.0
+def test_rate_is_changes_over_summed_update_time():
+    assert benchstats.rate([1.0] * 100, 100) == 1.0
+    assert benchstats.rate([1.0] * 250, 500) == 2.0  # batches: 2 changes per update
+    assert benchstats.rate([0.5, 1.5], 4) == 2.0
+    assert benchstats.rate([], 0) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -111,19 +108,17 @@ def test_covered_clips_and_merges_children():
 
 def test_self_times_subtract_direct_children_only():
     rows = [
-        # thread, index, name, start, end, parent
-        (0, 0, "job", 0, 100, -1),
-        (0, 1, "step", 10, 50, 0),
-        (0, 2, "apply", 20, 40, 1),
-        (0, 3, "step", 60, 90, 0),
-        (1, 0, "job", 0, 10, -1),  # another thread's index 0: a different span
+        # index, name, start, end, parent
+        (0, "job", 0, 100, -1),
+        (1, "step", 10, 50, 0),
+        (2, "apply", 20, 40, 1),
+        (3, "step", 60, 90, 0),
     ]
     times = self_times(rows)
-    assert times[(0, 0)] == 100 - 40 - 30
-    assert times[(0, 1)] == 40 - 20
-    assert times[(0, 2)] == 20
-    assert times[(0, 3)] == 30
-    assert times[(1, 0)] == 10
+    assert times[0] == 100 - 40 - 30
+    assert times[1] == 40 - 20
+    assert times[2] == 20
+    assert times[3] == 30
 
 
 def test_tracer_nesting_and_run_id(tmp_path):
@@ -134,42 +129,18 @@ def test_tracer_nesting_and_run_id(tmp_path):
         with tracer.span("inner"):
             pass
     rows = tracer.rows()
-    assert [row[2] for row in rows] == ["outer", "inner", "inner"]
-    assert [row[5] for row in rows] == [-1, 0, 0]
-    assert all(row[4] >= row[3] for row in rows)
+    assert [row[1] for row in rows] == ["outer", "inner", "inner"]
+    assert [row[4] for row in rows] == [-1, 0, 0]
+    assert all(row[3] >= row[2] for row in rows)
     path = tmp_path / "spans.jsonl"
     assert tracer.write_jsonl(str(path)) == 3
+    assert Tracer("run-8").write_jsonl(str(path)) == 0  # appends
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert {line["run"] for line in lines} == {"run-7"}
     assert lines[1]["parent"] == lines[0]["id"]
     times = self_times(rows)
-    inner = sum(row[4] - row[3] for row in rows[1:])
-    assert times[(0, 0)] == rows[0][4] - rows[0][3] - inner
-
-
-def test_tracer_keeps_threads_apart():
-    tracer = Tracer("threads")
-    barrier = threading.Barrier(2)
-
-    def work():
-        barrier.wait(timeout=10)
-        for _ in range(200):
-            with tracer.span("request"):
-                with tracer.span("inner"):
-                    pass
-
-    threads = [threading.Thread(target=work) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-    rows = tracer.rows()
-    assert len(rows) == 800
-    for thread, index, name, _, _, parent in rows:
-        if name == "inner":
-            parent_row = next(row for row in rows if row[0] == thread and row[1] == parent)
-            assert parent_row[2] == "request"
+    inner = sum(row[3] - row[2] for row in rows[1:])
+    assert times[0] == rows[0][3] - rows[0][2] - inner
 
 
 class _Target:
@@ -177,14 +148,54 @@ class _Target:
         return value * 2
 
 
-def test_instrument_wraps_and_restores():
+def test_instrument_wraps_in_a_span():
     tracer = Tracer("wrap")
-    original = _Target.__dict__["work"]
-    undo = instrument(tracer, [(_Target, "work", "target.work")])
+    instrument(tracer, [(_Target, "work", "target.work")])
     assert _Target().work(21) == 42
-    undo()
-    assert _Target.__dict__["work"] is original
-    assert [row[2] for row in tracer.rows()] == ["target.work"]
+    assert [row[1] for row in tracer.rows()] == ["target.work"]
+
+
+# ----------------------------------------------------------------------
+# CPU clock
+# ----------------------------------------------------------------------
+def test_cpu_clock_counts_a_watched_child_and_banks_it():
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys, time\nt = time.process_time()\n"
+         "while time.process_time() - t < 0.2: pass\nsys.stdin.read()"],
+        stdin=subprocess.PIPE,
+    )
+    try:
+        assert child.pid in process_tree(os.getpid())
+        clock = CpuClock()
+        before = clock()
+        clock.watch(process_tree(child.pid))
+        deadline = time.monotonic() + 30
+        while clock() - before < 150_000_000 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert clock() - before >= 150_000_000  # the child's own CPU time
+        clock.bank()
+        banked = clock()
+    finally:
+        child.communicate(b"")
+    assert clock() >= banked  # the banked total outlives the child
+
+
+def test_ref_clock_scales_each_segment_by_its_probes(monkeypatch):
+    probes = iter([600_000, 1_200_000, 1_000_000, 1_400_000])
+    monkeypatch.setattr(clocks, "probe_ns", lambda: next(probes))
+    # Raw CPU readings include the probes' own time (0.6 ms, then 4.2 ms in all).
+    cpu = iter([600_000, 9_000_000 + 4_200_000, 12_000_000 + 4_200_000])
+    clock = clocks.RefClock(lambda: next(cpu))
+    clock.close()  # probes by hand below
+    clock.probe()
+    clock.probe()
+    clock.probe()
+    _, first = clock.mark()  # 9 ms at the median probe, 1.2 ms: half speed
+    assert clock.factor == pytest.approx(0.5)
+    assert first == pytest.approx(4_500_000)
+    _, second = clock.mark()  # 3 ms, no probe since: the last one, 1.4 ms
+    assert second - first == pytest.approx(3_000_000 * 600_000 / 1_400_000)
+    assert clock.probes == [600_000, 1_200_000, 1_000_000, 1_400_000]
 
 
 # ----------------------------------------------------------------------
@@ -193,21 +204,22 @@ def test_instrument_wraps_and_restores():
 def test_layer_metrics_from_synthetic_spans():
     ms = 1_000_000
     rows = [
-        (0, 0, "scenario.setup", 0, 100 * ms, -1),
-        (0, 1, "workloads.materialize", 0, 80 * ms, 0),
-        (0, 2, "graph.build", 0, 30 * ms, 1),
-        (0, 3, "scenario.step", 100 * ms, 100 * ms + 10_000, -1),
-        (0, 4, "core.apply", 100 * ms + 2_000, 100 * ms + 8_000, 3),
-        (0, 5, "scenario.checkpoint_save", 200 * ms, 260 * ms, -1),
-        (0, 6, "scenario.checkpoint_encode", 200 * ms, 220 * ms, 5),
-        (0, 7, "scenario.checkpoint_encode", 220 * ms, 250 * ms, 5),
-        (0, 8, "scenario.resume", 300 * ms, 400 * ms, -1),
-        (0, 9, "workloads.materialize", 300 * ms, 370 * ms, 8),
-        (0, 10, "graph.build", 300 * ms, 305 * ms, 9),
+        (0, "scenario.setup", 0, 100 * ms, -1),
+        (1, "workloads.materialize", 0, 80 * ms, 0),
+        (2, "graph.build", 0, 30 * ms, 1),
+        (3, "scenario.step", 100 * ms, 100 * ms + 10_000, -1),
+        (4, "core.apply", 100 * ms + 2_000, 100 * ms + 8_000, 3),
+        (5, "scenario.fill", 150 * ms, 151 * ms, -1),
+        (6, "core.apply", 150 * ms, 151 * ms, 5),  # fill: not a streamed update
+        (7, "scenario.checkpoint_save", 200 * ms, 260 * ms, -1),
+        (8, "scenario.checkpoint_encode", 200 * ms, 220 * ms, 7),
+        (9, "scenario.checkpoint_encode", 220 * ms, 250 * ms, 7),
+        (10, "scenario.resume", 300 * ms, 400 * ms, -1),
+        (11, "workloads.materialize", 300 * ms, 370 * ms, 10),
+        (12, "graph.build", 300 * ms, 305 * ms, 11),
     ]
     out = layers.layer_metrics(rows, "sequential", {"changes_per_materialize": 10})
-    assert set(out) == {name for name, _ in layers.PER_LAYER}
-    assert out["graph.build_s"] == pytest.approx(0.030)  # the memoized rebuild is left out
+    assert out["graph.build_s"] == pytest.approx(0.030)  # the resume's build is left out
     assert out["workloads.materialize_s"] == pytest.approx((0.050 + 0.065) / 2)
     assert out["workloads.us_per_change"] == pytest.approx((0.050 + 0.065) / 20 * 1e6)
     assert out["core.bootstrap_s"] == pytest.approx(0.020)
@@ -217,17 +229,56 @@ def test_layer_metrics_from_synthetic_spans():
     assert out["scenario.checkpoint_write_s"] == pytest.approx(0.010)
     assert out["scenario.resume_materialize_s"] == pytest.approx(0.070)
     assert out["scenario.resume_restore_s"] == pytest.approx(0.030)
-    assert out["distributed.apply_p50_us"] == 0.0  # never called
+    assert "distributed.apply_p50_us" not in out  # never called
+
+
+def test_merge_takes_the_median_over_processes_that_saw_a_metric():
+    merged = layers.merge([{"graph.build_s": 1.0}, {"graph.build_s": 3.0}, {"core.verify_s": 2.0}])
+    assert set(merged) == {name for name, _ in layers.PER_LAYER}
+    assert merged["graph.build_s"] == 2.0
+    assert merged["core.verify_s"] == 2.0
+    assert merged["distributed.verify_s"] == 0.0
 
 
 def test_service_tax_is_request_minus_batch_apply():
     us = 1_000
-    rows = [(0, i, "service.request", 0, 500 * us, -1) for i in range(3)]
-    rows.append((1, 0, "core.batch_apply", 0, 200 * us, -1))
+    rows = [(i, "service.request", 0, 500 * us, -1) for i in range(3)]
+    rows.append((3, "scenario.replay", 0, 300 * us, -1))
+    rows.append((4, "core.batch_apply", 0, 200 * us, 3))
     out = layers.layer_metrics(rows, "sequential", {})
     assert out["service.request_p50_us"] == pytest.approx(500.0)
     assert out["core.batch_apply_p50_us"] == pytest.approx(200.0)
     assert out["service.tax_us"] == pytest.approx(300.0)
+
+
+# ----------------------------------------------------------------------
+# Sessions and end-to-end figures
+# ----------------------------------------------------------------------
+def _process(job, setup=(), checkpoint=(), resume=(), updates=(), changes=0):
+    times = {"job_s": [job], "setup_s": list(setup), "checkpoint_s": list(checkpoint),
+             "resume_s": list(resume)}
+    times.update({"wall_" + key: [2 * value for value in values] for key, values in times.items()})
+    return {"times": times, "update_ref_ns": list(updates),
+            "update_wall_ns": [2 * ns for ns in updates], "stream_changes": changes,
+            "attempted": len(updates) + 1, "failed": 0, "failures": [], "peak_rss_kb": 1024}
+
+
+def test_a_session_is_its_run_and_resume_processes():
+    session = run.combine(
+        _process(3.0, setup=[1.0], checkpoint=[0.5, 0.7], updates=[1000] * 4, changes=4),
+        _process(2.0, resume=[0.4], updates=[3000] * 4, changes=4),
+    )
+    assert session["times"]["job_s"] == [5.0]  # one job, split over two processes
+    assert session["times"]["wall_job_s"] == [10.0]
+    assert session["times"]["checkpoint_s"] == [0.5, 0.7]
+    assert session["attempted"] == 10
+    e2e = run.end_to_end([session])
+    assert e2e["job_s"] == 5.0 and e2e["wall_job_s"] == 10.0
+    assert e2e["setup_s"] == 1.0 and e2e["resume_s"] == 0.4
+    assert e2e["checkpoint_s"] == pytest.approx(0.6)
+    assert e2e["update_p50_us"] == 1.0 and e2e["wall_update_p50_us"] == 2.0
+    assert e2e["changes_per_s"] == pytest.approx(8 / 16e-6)  # per reference CPU second
+    assert e2e["peak_rss_mb"] == 1.0
 
 
 def test_benchmark_json_matches_the_metric_tables():
