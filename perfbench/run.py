@@ -293,12 +293,15 @@ def run_workload(
         "resume_s": f"ref CPU, median of {counts['resume_s']}",
         "update_p50_us": f"ref CPU, n={latency['n']}",
         "update_p99_us": f"ref CPU, n={latency['n']}, {latency['p99_beyond']} beyond"
-        + ("" if latency["p99_supported"] else " -- fewer than 10: not supported"),
+        + ("" if latency["p99_supported"] else " -- fewer than 10: not reported"),
         "error_rate": f"{failed} of {attempted} operations",
     }
+    if not latency["p99_supported"]:  # fewer than 10 samples beyond it: no p99
+        e2e["update_p99_us"] = e2e["wall_update_p99_us"] = None
     for name, value in e2e.items():
         note = notes.get(name, notes.get(name[len("wall_"):], "").replace("ref CPU", "wall"))
-        print(f"{'*' if name in gated else '':>2} {name:<20} {value:>16.6g} {units[name]:<5} {note}")
+        shown = "-" if value is None else f"{value:.6g}"
+        print(f"{'*' if name in gated else '':>2} {name:<20} {shown:>16} {units[name]:<5} {note}")
     for message in failures[:10]:
         print(f"  FAILED: {message}")
 
